@@ -24,20 +24,11 @@
 //!
 //! The `engine_equivalence` proptests and the audit digest gate verify
 //! bit-identical solutions and traces at 1/2/8 workers.
-//!
-//! # Memory discipline
-//!
-//! Conference teardown feeds engines back through [`recycle`]
-//! (`BatchScheduler::recycle`), which strips them to their [`McPool`] slabs;
-//! [`adopt_engine`](BatchScheduler::adopt_engine) seeds new conferences from
-//! that reservoir so growth in one room reuses the DP tables of a room that
-//! just emptied.
 
 use crate::engine::SolveEngine;
-use crate::mckp::McPool;
 use crate::problem::Problem;
 use crate::solution::Solution;
-use crate::solver::{SolveTrace, SolverConfig};
+use crate::solver::SolveTrace;
 use std::collections::VecDeque;
 // detguard: allow(unordered-merge, reason = "scheduler plumbing only; every job owns its engine and results are re-keyed by submission index, so output is scheduling-order independent (engine_equivalence proptests + audit digest gate)")
 use std::sync::{Arc, Condvar, Mutex};
@@ -200,8 +191,6 @@ fn worker_loop(wid: usize, shared: &Shared) {
 pub struct BatchScheduler {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    /// Retired DP slabs from recycled engines, seeding new conferences.
-    reservoir: McPool,
     /// Round-robin cursor for initial task placement.
     next_queue: usize,
 }
@@ -237,7 +226,7 @@ impl BatchScheduler {
                     .expect("invariant: worker spawn at scheduler construction")
             })
             .collect();
-        BatchScheduler { shared, workers: handles, reservoir: McPool::new(), next_queue: 0 }
+        BatchScheduler { shared, workers: handles, next_queue: 0 }
     }
 
     /// Number of worker threads.
@@ -300,27 +289,6 @@ impl BatchScheduler {
             .map(|s| s.expect("invariant: every slot received exactly one result"))
             .collect()
     }
-
-    /// Tear a conference's engine down into the cross-conference slab
-    /// reservoir.
-    pub fn recycle(&mut self, engine: SolveEngine) {
-        self.reservoir.absorb(engine.into_pool());
-    }
-
-    /// A new engine seeded from the reservoir: joining conferences reuse the
-    /// DP slabs of conferences that tore down.
-    #[must_use]
-    pub fn adopt_engine(&mut self, cfg: SolverConfig) -> SolveEngine {
-        let mut engine = SolveEngine::new(cfg);
-        engine.absorb_pool(std::mem::take(&mut self.reservoir));
-        engine
-    }
-
-    /// Retired DP states waiting in the reservoir.
-    #[must_use]
-    pub fn idle_states(&self) -> usize {
-        self.reservoir.idle_states()
-    }
 }
 
 impl Drop for BatchScheduler {
@@ -340,6 +308,7 @@ mod tests {
     use super::*;
     use crate::ladders;
     use crate::problem::{ClientSpec, SourceId, Subscription};
+    use crate::solver::SolverConfig;
     use crate::types::Resolution;
     use gso_util::{Bitrate, ClientId};
 
@@ -427,22 +396,5 @@ mod tests {
     fn empty_batch_returns_immediately() {
         let mut sched = BatchScheduler::new(&BatchConfig { workers: 2 });
         assert!(sched.solve_batch(Vec::new()).is_empty());
-    }
-
-    #[test]
-    fn recycle_feeds_adopted_engines() {
-        let problem = Arc::new(mesh(5, 1_500));
-        let mut sched = BatchScheduler::new(&BatchConfig { workers: 1 });
-        let mut results = sched.solve_batch(vec![BatchJob {
-            engine: SolveEngine::new(SolverConfig::default()),
-            problem: Arc::clone(&problem),
-            traced: false,
-        }]);
-        let engine = results.pop().expect("one result").engine;
-        sched.recycle(engine);
-        assert_eq!(sched.idle_states(), 5, "every client state lands in the reservoir");
-        let adopted = sched.adopt_engine(SolverConfig::default());
-        assert_eq!(sched.idle_states(), 0);
-        drop(adopted);
     }
 }

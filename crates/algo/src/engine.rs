@@ -18,8 +18,7 @@
 //!   each source's ladder is quantized once per iteration into a shared
 //!   *item template* instead of once per subscriber; Step-1 requests land in
 //!   reusable per-source buckets instead of a fresh `BTreeMap` per
-//!   iteration; retired clients' DP slabs return to an [`McPool`] that seeds
-//!   joining clients (and, via the batch scheduler, other conferences).
+//!   iteration.
 //! * **Batching** — one engine per conference, driven sequentially here or
 //!   interleaved across conferences by [`crate::batch::BatchScheduler`],
 //!   which owns persistent workers and merges results deterministically.
@@ -34,7 +33,7 @@
 //! them against the memo inside [`McState::solve_flat`] finds the first
 //! changed class exactly.
 
-use crate::mckp::{self, McItem, McOutcome, McPool, McReuse, McState};
+use crate::mckp::{self, McItem, McReuse, McState};
 use crate::problem::{Problem, SourceId, Subscription};
 use crate::solution::Solution;
 use crate::solver::{
@@ -80,8 +79,6 @@ struct ClientEntry {
     ranges: Vec<(usize, usize)>,
     /// Candidate spec behind each flat item (for request materialization).
     specs: Vec<StreamSpec>,
-    /// Outcome of the last knapsack, consumed by the stats merge.
-    last: Option<McOutcome>,
     /// Input fingerprint: the subscription slice this entry's scratch and DP
     /// were last built from. Together with `downlink_key` and `tmpl_rev_key`
     /// it captures *every* input `solve_flat` sees, so a match lets Step 1
@@ -113,21 +110,6 @@ fn debug_validate(problem: &Problem, solution: &Solution, max_iters: usize) {
     let _ = (problem, solution, max_iters);
 }
 
-/// Retire a cache entry: its DP slab returns to the pool, its scratch is
-/// cleared (capacity kept) and parked in the spare list, and its input
-/// fingerprint is invalidated so a recycled entry can never false-hit.
-fn retire_entry(pool: &mut McPool, spare: &mut Vec<ClientEntry>, mut entry: ClientEntry) {
-    pool.retire(std::mem::take(&mut entry.mc));
-    entry.items.clear();
-    entry.ranges.clear();
-    entry.specs.clear();
-    entry.last = None;
-    entry.subs_key.clear();
-    entry.tmpl_rev_key = 0;
-    // sentinel: allow(hot-alloc, reason = "membership-change path only; spare list is bounded by peak roster size")
-    spare.push(entry);
-}
-
 /// Reduction overlay: the base problem's ladders with this solve's shrunken
 /// ones on top. Replaces the one-shot solver's `problem.clone()`.
 struct Overlay<'a> {
@@ -151,10 +133,6 @@ pub struct SolveEngine {
     cfg: SolverConfig,
     /// Per-client caches, ascending by id (mirrors `Problem::clients()`).
     caches: Vec<(ClientId, ClientEntry)>,
-    /// Retired DP slabs, recycled into joining clients' entries.
-    pool: McPool,
-    /// Retired scratch buffers (items/ranges/specs) awaiting a new client.
-    spare: Vec<ClientEntry>,
     /// Sources with ≥1 candidate template this iteration, ascending.
     src_ids: Vec<SourceId>,
     /// Flat per-source item templates: each source's current ladder specs
@@ -188,8 +166,6 @@ impl SolveEngine {
         SolveEngine {
             cfg,
             caches: Vec::new(),
-            pool: McPool::new(),
-            spare: Vec::new(),
             src_ids: Vec::new(),
             tmpl: Vec::new(),
             tmpl_ranges: Vec::new(),
@@ -221,33 +197,9 @@ impl SolveEngine {
         self.stats = EngineStats::default();
     }
 
-    /// Drop every memoized DP table, forcing the next solve cold. The slabs
-    /// go back to the pool, so the rebuild itself stays allocation-light.
+    /// Drop every memoized DP table, forcing the next solve cold.
     pub fn clear_cache(&mut self) {
-        for (_, entry) in self.caches.drain(..) {
-            retire_entry(&mut self.pool, &mut self.spare, entry);
-        }
-    }
-
-    /// Detach this engine's DP-slab pool, e.g. to hand it to a scheduler's
-    /// cross-conference reservoir. The engine keeps its live caches.
-    pub fn take_pool(&mut self) -> McPool {
-        std::mem::take(&mut self.pool)
-    }
-
-    /// Merge a pool of retired DP slabs into this engine's pool; joining
-    /// clients are seeded from it before touching the allocator.
-    pub fn absorb_pool(&mut self, pool: McPool) {
-        self.pool.absorb(pool);
-    }
-
-    /// Tear the engine down into its recycled slabs: every cached client
-    /// state is retired into the pool, which is returned for reuse by other
-    /// engines (cross-conference recycling on conference teardown).
-    #[must_use]
-    pub fn into_pool(mut self) -> McPool {
-        self.clear_cache();
-        self.pool
+        self.caches.clear();
     }
 
     /// Solve the orchestration problem. Output is bit-identical to
@@ -357,8 +309,8 @@ impl SolveEngine {
     }
 
     /// Align the cache vector with the problem's client list: entries for
-    /// departed clients are retired to the pool, new clients are seeded from
-    /// it, everyone else keeps their memo. The steady-state roster (no
+    /// departed clients are dropped, new clients start with an empty entry,
+    /// everyone else keeps their memo. The steady-state roster (no
     /// membership change) is a pure comparison — no moves, no allocation.
     fn reconcile(&mut self, problem: &Problem) {
         let clients = problem.clients();
@@ -372,23 +324,13 @@ impl SolveEngine {
         self.caches.reserve(clients.len());
         let mut old_iter = old.into_iter().peekable();
         for client in clients {
-            while old_iter.peek().is_some_and(|(id, _)| *id < client.id) {
-                let (_, entry) = old_iter.next().expect("invariant: just peeked a departed entry");
-                retire_entry(&mut self.pool, &mut self.spare, entry);
-            }
-            if old_iter.peek().is_some_and(|(id, _)| *id == client.id) {
-                let entry = old_iter.next().expect("invariant: just peeked");
-                // sentinel: allow(hot-alloc, reason = "push into the capacity reserved above; never reallocates")
-                self.caches.push(entry);
-            } else {
-                let mut entry = self.spare.pop().unwrap_or_default();
-                entry.mc = self.pool.acquire();
-                // sentinel: allow(hot-alloc, reason = "push into the capacity reserved above; never reallocates")
-                self.caches.push((client.id, entry));
-            }
-        }
-        for (_, entry) in old_iter {
-            retire_entry(&mut self.pool, &mut self.spare, entry);
+            // Departed clients' entries are dropped with their memos.
+            while old_iter.next_if(|(id, _)| *id < client.id).is_some() {}
+            let entry = old_iter
+                .next_if(|(id, _)| *id == client.id)
+                .map_or_else(ClientEntry::default, |(_, entry)| entry);
+            // sentinel: allow(hot-alloc, reason = "push into the capacity reserved above; never reallocates")
+            self.caches.push((client.id, entry));
         }
     }
 
@@ -516,8 +458,6 @@ impl SolveEngine {
                     &entry.ranges,
                     mckp::quantize_capacity(client.downlink, unit),
                 );
-                entry.last = Some(out);
-
                 let k = out.classes as u64;
                 match out.reuse {
                     McReuse::Full => {
@@ -706,25 +646,9 @@ mod tests {
         )
         .expect("valid problem");
         assert_identical(&mut engine, &p5);
-        // …and two new ones join, seeded from the departed client's slabs.
-        assert!(engine.pool.idle_states() > 0, "the departed client's DP state must be pooled");
+        // …and three new ones join, client 6 among them.
         let p8 = mesh(8, &|_| 2_000);
         assert_identical(&mut engine, &p8);
-    }
-
-    #[test]
-    fn pool_roundtrip_survives_engine_teardown() {
-        let p = mesh(5, &|_| 1_800);
-        let mut engine = SolveEngine::new(SolverConfig::default());
-        engine.solve(&p);
-        let pool = engine.into_pool();
-        assert_eq!(pool.idle_states(), 5, "every cached client retires into the pool");
-
-        // A new engine seeded from the pool still matches the solver.
-        let mut engine = SolveEngine::new(SolverConfig::default());
-        engine.absorb_pool(pool);
-        assert_identical(&mut engine, &p);
-        assert_eq!(engine.pool.idle_states(), 0, "all five states were re-acquired");
     }
 
     #[test]

@@ -55,13 +55,7 @@
 //! so the reconstructed pick is bit-identical to what a stored table would
 //! say, at `O(Σ |items|)` total cost and half the memory traffic. The DP
 //! inner loop is a branch-light elementwise `max` over two contiguous `f64`
-//! slices ([`relax_row`]); the `simd` cargo feature swaps in a manually
-//! 4-lane-unrolled variant of the same elementwise update (bit-identical —
-//! the update carries no cross-lane dependency).
-//!
-//! [`McPool`] recycles retired states' slabs across clients, ticks and
-//! conferences: capacity is kept on [`McState::clear`], so a state acquired
-//! from the pool re-solves without touching the allocator.
+//! slices ([`relax_row`]) that the compiler autovectorizes.
 
 use gso_util::Bitrate;
 
@@ -159,21 +153,6 @@ impl McState {
         self.value
     }
 
-    /// Drop all memoized state but keep the allocations for reuse.
-    ///
-    /// `rows` and `stride` survive on purpose: row 0 is permanently the
-    /// all-zero row and every later row is fully overwritten before it is
-    /// read, so the next solve can rebuild straight into the slab without a
-    /// zero-fill pass over tens of kilobytes of cache-cold memory — the
-    /// dominant cost of a cold re-solve against pooled states.
-    pub fn clear(&mut self) {
-        self.key_items.clear();
-        self.key_ranges.clear();
-        self.w_used = 0;
-        self.choices.clear();
-        self.value = 0.0;
-    }
-
     /// Solve the MCKP over quantized units, reusing whatever part of the
     /// previous call's DP table is still valid.
     ///
@@ -229,12 +208,11 @@ impl McState {
         // (including the first) adds 25 % headroom, rounded up to a 64-unit
         // boundary and capped at the joint item weight, so a jittering
         // capacity estimate lands inside the stored table instead of forcing
-        // a full rebuild every tick. A slab more than 4× the target (a state
-        // recycled from a much bigger knapsack) also rebuilds: the DP row
-        // update runs over the full stride, so a grossly oversized slab
-        // would tax every future solve. Columns `≤ w` are bit-identical at
-        // any stride, so neither the slack nor the hysteresis changes
-        // results.
+        // a full rebuild every tick. A slab more than 4× the target (a client
+        // whose downlink fell more than 4×) also rebuilds: the DP row update
+        // runs over the full stride, so a grossly oversized slab would tax
+        // every future solve. Columns `≤ w` are bit-identical at any stride,
+        // so neither the slack nor the hysteresis changes results.
         let needed = w_max + 1;
         let cap_units = (max_useful as usize).saturating_add(1).max(needed);
         let target = (needed + needed / 4).next_multiple_of(64).clamp(needed, cap_units);
@@ -247,10 +225,10 @@ impl McState {
             if shrinking {
                 // The point of the shrink rebuild is to stop paying for a
                 // slab sized by a much bigger knapsack — return the memory,
-                // don't just stop reading it. `clear` alone keeps capacity,
-                // so without this a pooled state adopted from a huge
-                // conference would pin its worst-case slab forever. Grow
-                // rebuilds skip this: they reallocate upward right away.
+                // don't just stop reading it. `Vec::clear` keeps capacity,
+                // so without this the state would pin its worst-case slab
+                // forever. Grow rebuilds skip this: they reallocate upward
+                // right away.
                 self.rows.shrink_to((k + 1) * target);
                 self.key_items.shrink_to(items.len());
                 self.key_ranges.shrink_to(k);
@@ -381,89 +359,11 @@ impl McState {
 /// for every lane. Strict `>` keeps the documented tie-breaking (an equal
 /// candidate never replaces the incumbent), and the unconditional select
 /// store keeps the loop branch-free so it autovectorizes.
-#[cfg(not(feature = "simd"))]
 #[inline]
 fn relax_row(dst: &mut [f64], src: &[f64], value: f64) {
     for (d, s) in dst.iter_mut().zip(src.iter()) {
         let cand = s + value;
         *d = if cand > *d { cand } else { *d };
-    }
-}
-
-/// 4-lane manually unrolled variant of [`relax_row`], selected by the `simd`
-/// cargo feature. The update is purely elementwise — lane `j` never reads
-/// another lane — so any unroll width produces bit-identical tables to the
-/// scalar loop; the unroll only hands the backend wider independent chains.
-#[cfg(feature = "simd")]
-#[inline]
-fn relax_row(dst: &mut [f64], src: &[f64], value: f64) {
-    let mut d4 = dst.chunks_exact_mut(4);
-    let mut s4 = src.chunks_exact(4);
-    for (d, s) in d4.by_ref().zip(s4.by_ref()) {
-        let ([d0, d1, d2, d3], [s0, s1, s2, s3]) = (d, s) else {
-            continue;
-        };
-        let (c0, c1, c2, c3) = (s0 + value, s1 + value, s2 + value, s3 + value);
-        *d0 = if c0 > *d0 { c0 } else { *d0 };
-        *d1 = if c1 > *d1 { c1 } else { *d1 };
-        *d2 = if c2 > *d2 { c2 } else { *d2 };
-        *d3 = if c3 > *d3 { c3 } else { *d3 };
-    }
-    for (d, s) in d4.into_remainder().iter_mut().zip(s4.remainder().iter()) {
-        let cand = s + value;
-        *d = if cand > *d { cand } else { *d };
-    }
-}
-
-/// Recycles the heap slabs behind retired [`McState`]s — checkpoint rows,
-/// the flat item memo and the selection buffer — across clients, ticks and
-/// conferences.
-///
-/// [`McState::clear`] keeps buffer capacity, so a state acquired from the
-/// pool re-solves a similarly shaped knapsack without touching the
-/// allocator. The engine retires a departing client's state here and seeds
-/// joining clients from it; the batch scheduler moves whole pools between
-/// conferences the same way ([`McPool::absorb`]).
-///
-/// Recycling is FIFO: a roster retired in client order and re-acquired in
-/// client order hands every client its *own* slab back, so preserved row
-/// strides line up with each client's downlink instead of shuffling across
-/// heterogeneous capacities.
-#[derive(Debug, Default)]
-pub struct McPool {
-    states: std::collections::VecDeque<McState>,
-}
-
-impl McPool {
-    /// An empty pool (no allocation).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Retire a state: its memo is cleared, its slabs keep their capacity
-    /// for the next [`acquire`](Self::acquire).
-    pub fn retire(&mut self, mut state: McState) {
-        state.clear();
-        // sentinel: allow(hot-alloc, reason = "pool growth is bounded by peak concurrent clients; steady-state churn pops and pushes within capacity")
-        self.states.push_back(state);
-    }
-
-    /// Hand out a cleared state, reusing retired slabs when available.
-    pub fn acquire(&mut self) -> McState {
-        self.states.pop_front().unwrap_or_default()
-    }
-
-    /// Move every retired state of `other` into this pool (cross-conference
-    /// recycling: a torn-down conference's slabs serve new ones).
-    pub fn absorb(&mut self, mut other: McPool) {
-        self.states.append(&mut other.states);
-    }
-
-    /// Number of retired states currently held.
-    #[must_use]
-    pub fn idle_states(&self) -> usize {
-        self.states.len()
     }
 }
 
@@ -800,39 +700,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_recycles_slab_capacity_across_states() {
-        let classes = sample_classes();
-        let (items, ranges) = flatten(&classes);
-        let mut st = McState::new();
-        st.solve_flat(&items, &ranges, 100);
-        let rows_cap = st.rows.capacity();
-        assert!(rows_cap > 0);
-
-        let mut pool = McPool::new();
-        pool.retire(st);
-        assert_eq!(pool.idle_states(), 1);
-
-        // The recycled state starts cleared but keeps its slabs.
-        let mut st = pool.acquire();
-        assert_eq!(pool.idle_states(), 0);
-        assert!(st.choices().is_empty());
-        assert_eq!(st.rows.capacity(), rows_cap);
-        let out = st.solve_flat(&items, &ranges, 100);
-        assert_eq!(out.reuse, McReuse::Fresh);
-        assert_matches_fresh(&st, &classes, 100);
-
-        // An exhausted pool hands out fresh states; absorb merges pools.
-        let other = McPool::new();
-        pool.retire(McState::new());
-        let mut merged = McPool::new();
-        merged.absorb(pool);
-        merged.absorb(other);
-        assert_eq!(merged.idle_states(), 1);
-        assert!(merged.acquire().choices().is_empty());
-        assert!(merged.acquire().choices().is_empty());
-    }
-
-    #[test]
     fn state_reuses_prefix_when_class_list_shrinks_and_grows() {
         let classes = sample_classes();
         let (items, ranges) = flatten(&classes);
@@ -898,9 +765,9 @@ mod tests {
 
     #[test]
     fn shrink_hysteresis_releases_slab_after_sustained_small_problems() {
-        // A state shaped by a huge knapsack (e.g. adopted from the pool
-        // after serving a high-capacity client) must not pin its worst-case
-        // slab forever once it settles onto small problems.
+        // A state shaped by a huge knapsack (a client whose downlink then
+        // fell far) must not pin its worst-case slab forever once it settles
+        // onto small problems.
         let big = sized_classes(50_000);
         let (items, ranges) = flatten(&big);
         let mut st = McState::new();
@@ -921,28 +788,6 @@ mod tests {
             st.rows.capacity(),
             big_cap,
         );
-    }
-
-    #[test]
-    fn pooled_state_adopted_for_small_problems_releases_memory() {
-        // Same scenario through the pool: retire a state shaped by a big
-        // conference, re-acquire it for a small one.
-        let big = sized_classes(50_000);
-        let (items, ranges) = flatten(&big);
-        let mut st = McState::new();
-        st.solve_flat(&items, &ranges, 100_000);
-        let big_cap = st.rows.capacity();
-
-        let mut pool = McPool::new();
-        pool.retire(st);
-        let mut st = pool.acquire();
-        assert_eq!(st.rows.capacity(), big_cap, "retire/acquire keeps slabs");
-
-        let small = sized_classes(100);
-        let (items, ranges) = flatten(&small);
-        st.solve_flat(&items, &ranges, 200);
-        assert_matches_fresh(&st, &small, 200);
-        assert!(st.rows.capacity() < big_cap / 10, "adopted slab must be released, not hoarded");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! For each random instance the engine is driven through the controller's
 //! real access patterns — cold solve, warm re-solve after a single-source
-//! ladder reduction, warm re-solve after a single-client bandwidth delta —
+//! ladder reduction, warm re-solve after a single-client bandwidth delta,
+//! warm re-solve after one participant leaves and again after it rejoins —
 //! and each resulting `(Solution, SolveTrace)` pair must equal a fresh
 //! `solver::solve_traced` on the same problem exactly (f64 equality, not
 //! tolerance), with zero auditor findings. Random conference *batches* are
@@ -120,6 +121,21 @@ fn bandwidth_variant(base: &Problem) -> Problem {
     Problem::new(clients, base.subscriptions().to_vec()).expect("bandwidth variant valid")
 }
 
+/// Remove one participant (index wrapped to the roster size) together with
+/// every subscription it holds or serves, as a leave does through
+/// `GlobalPicture::to_problem`.
+fn roster_variant(base: &Problem, leaver: usize) -> Problem {
+    let id = base.clients()[leaver % base.clients().len()].id;
+    let clients: Vec<ClientSpec> = base.clients().iter().filter(|c| c.id != id).cloned().collect();
+    let subs: Vec<Subscription> = base
+        .subscriptions()
+        .iter()
+        .copied()
+        .filter(|s| s.subscriber != id && s.source.client != id)
+        .collect();
+    Problem::new(clients, subs).expect("roster variant valid")
+}
+
 /// Apply the controller's speaker boost to every untagged subscription of
 /// the problem's first-subscribed source, leaving everything else —
 /// including the subscription set's shape — identical. The variant differs
@@ -179,7 +195,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn engine_reuse_paths_match_sequential_solver(problem in arb_problem()) {
+    fn engine_reuse_paths_match_sequential_solver(problem in arb_problem(), leaver in 0usize..6) {
         let cfg = SolverConfig::default();
         let mut engine = SolveEngine::new(cfg.clone());
 
@@ -197,6 +213,12 @@ proptest! {
         let shrunk = bandwidth_variant(&problem);
         check(&mut engine, &shrunk, &cfg, "warm after bandwidth delta")?;
         check(&mut engine, &problem, &cfg, "warm after bandwidth restore")?;
+
+        // Warm after one participant and its subscriptions leave, and after
+        // it rejoins with an empty cache entry.
+        let left = roster_variant(&problem, leaver);
+        check(&mut engine, &left, &cfg, "warm after leave")?;
+        check(&mut engine, &problem, &cfg, "warm after rejoin")?;
     }
 
     /// Interleave fallback interludes and speaker changes against one warm

@@ -18,9 +18,6 @@
 //!    ([`GsoController::tick_commit`]): watchdog, stickiness, execution,
 //!    telemetry — byte-identical to each controller ticking alone.
 //!
-//! Teardown feeds a retiring conference's engine into the scheduler's slab
-//! reservoir ([`ControllerFleet::retire`]); new conferences adopt from it.
-//!
 //! # Overload shedding and admission
 //!
 //! The fleet also owns the host's overload policy. A [`ShedPolicy`] gives
@@ -200,15 +197,13 @@ impl ControllerFleet {
         }
     }
 
-    /// Remove a conference, recycling its engine's DP slabs into the
-    /// scheduler's reservoir for future conferences and releasing its rows
-    /// from the admission ledger. Later conferences shift down by one
+    /// Remove a conference, dropping its engine's DP memo and releasing its
+    /// rows from the admission ledger. Later conferences shift down by one
     /// index.
     pub fn retire(&mut self, index: usize) -> GsoController {
         let mut controller = self.controllers.remove(index);
         let slot = self.slots.remove(index);
-        let engine = controller.take_engine();
-        self.scheduler.recycle(engine);
+        drop(controller.take_engine());
         if let Some(admission) = self.admission.as_mut() {
             admission.release(controller.tenancy(), slot.ledger_rows);
         }
@@ -604,20 +599,6 @@ mod tests {
         let out = fleet.tick_all(SimTime::from_millis(10));
         assert!(!out[0].0.as_ref().expect("round ran").fallback);
         assert!(out[1].0.as_ref().expect("round ran").fallback);
-    }
-
-    #[test]
-    fn retire_recycles_engine_slabs() {
-        let mut fleet = ControllerFleet::new(&BatchConfig { workers: 1 });
-        fleet.push(conference(4, 1_500, 7));
-        let _ = fleet.tick_all(SimTime::from_millis(10));
-        let retired = fleet.retire(0);
-        drop(retired);
-        assert!(fleet.is_empty());
-        assert!(
-            fleet.scheduler.idle_states() >= 4,
-            "the retired conference's DP states must land in the reservoir"
-        );
     }
 
     /// Make every conference's next round a real re-solve: alternating the
